@@ -88,8 +88,7 @@ def launch_kernel(kernel, params, design, geometry=None):
                 block = geometry.page_size
             policy = InterleavePolicy(block, num_chiplets)
             placement.place_range(bases[alloc.name], alloc.size, policy)
-        for vpn, home, ppn in placement.iter_pages():
-            page_table.map_page(vpn, ppn, home)
+        page_table.map_pages(placement.translations())
 
     # 5. HSL.
     mgvm_plan = None

@@ -19,12 +19,17 @@ the paper notes their placement is not performance-critical because the
 page walk caches filter most upper-level accesses.
 """
 
+from bisect import bisect_left
 
-def _first_placed_home(placement, first_vpn, num_pages):
-    """Home of the first placed data page in a VPN range, else None."""
-    for vpn in range(first_vpn, first_vpn + num_pages):
-        if placement.is_placed(vpn):
-            return placement.home_of(vpn)
+
+def _first_placed_home(placement, placed_vpns, first_vpn, num_pages):
+    """Home of the first placed data page in a VPN range, else None.
+
+    ``placed_vpns`` is the sorted list of every placed VPN.
+    """
+    index = bisect_left(placed_vpns, first_vpn)
+    if index < len(placed_vpns) and placed_vpns[index] < first_vpn + num_pages:
+        return placement.home_of(placed_vpns[index])
     return None
 
 
@@ -52,6 +57,8 @@ def place_page_table_pages(
     if policy == "hsl" and hsl is None:
         raise ValueError("hsl placement needs the kernel's dHSL")
 
+    if policy == "follow_data":
+        placed_vpns = data_placement.sorted_vpns()
     rr_counter = 0
     for node in sorted(
         page_table.iter_nodes(), key=lambda n: (n.level, n.prefix)
@@ -64,7 +71,9 @@ def place_page_table_pages(
             node.home = rr_counter % num_chiplets
             rr_counter += 1
         elif policy == "follow_data":
-            home = _first_placed_home(data_placement, first_vpn, span_pages)
+            home = _first_placed_home(
+                data_placement, placed_vpns, first_vpn, span_pages
+            )
             node.home = home if home is not None else rr_counter % num_chiplets
             rr_counter += 1
         elif policy == "hsl":

@@ -3,9 +3,12 @@
 Used for the per-chiplet L2 data caches (4 MB, 16-way) and the per-CU L1
 vector caches (64 KB).  The model tracks presence, not contents: a lookup
 either hits (latency charged by the memory system) or misses and fills.
-"""
 
-from collections import OrderedDict
+Each set is a plain ``dict`` kept in LRU order: a hit deletes and
+reinserts its line, so the first key is always the least recently used
+and is the victim.  A ``dict`` is cheaper to build and to update than an
+``OrderedDict``, and a machine builds thousands of sets per point.
+"""
 
 LINE_SIZE = 64
 
@@ -39,7 +42,7 @@ class Cache:
         self.assoc = assoc
         self.num_sets = num_lines // assoc
         self.name = name
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -55,12 +58,13 @@ class Cache:
         line = self.line_of(addr)
         entries = self._set_for(line)
         if line in entries:
-            entries.move_to_end(line)
+            del entries[line]
+            entries[line] = True
             self.hits += 1
             return True
         self.misses += 1
         if len(entries) >= self.assoc:
-            entries.popitem(last=False)
+            del entries[next(iter(entries))]
             self.evictions += 1
         entries[line] = True
         return False
@@ -76,7 +80,8 @@ class Cache:
         line = addr // self.line_size
         entries = self._sets[line % self.num_sets]
         if line in entries:
-            entries.move_to_end(line)
+            del entries[line]
+            entries[line] = True
             self.hits += 1
             return True
         return False

@@ -155,6 +155,27 @@ def config_hash(scale, workload, design, overrides, mult, seed):
     ).config_hash()
 
 
+def _use_wal(conn, timeout):
+    """Put ``conn``'s database in WAL mode, waiting out other openers.
+
+    WAL mode is a property of the file, so once any connection has set
+    it every later open only reads it back.  Switching needs an
+    exclusive lock, and sqlite refuses that at once rather than waiting
+    out the busy timeout; so when parallel workers open a fresh store
+    together, the switch is retried on "locked" until ``timeout``.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 class RunStore:
     """One sqlite telemetry store (see module docstring)."""
 
@@ -171,7 +192,7 @@ class RunStore:
         self._conn.isolation_level = None
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA busy_timeout = %d" % int(timeout * 1000))
-        self._conn.execute("PRAGMA journal_mode = WAL")
+        _use_wal(self._conn, timeout)
         self._conn.execute("PRAGMA synchronous = NORMAL")
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._ensure_schema()

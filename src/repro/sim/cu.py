@@ -62,6 +62,8 @@ and speed do).
 import os
 from collections import deque
 
+import numpy as np
+
 from repro.mem.cache import LINE_SIZE, Cache
 from repro.vm.tlb import TLB, TLBEntry
 
@@ -168,11 +170,11 @@ class _WavefrontSlot:
             cu.sim.note_slot_retired()
             return
         vpns, offs, sames = cu.cta_queue.popleft()
-        # Plain Python ints: every later index is one list load instead
-        # of a numpy scalar extraction + int() conversion.
+        # Plain Python ints and bools: every later index is one list
+        # load instead of a numpy scalar extraction + conversion.
         self.vpns = vpns.tolist()
         self.offs = offs.tolist()
-        self.sames = sames
+        self.sames = sames.tolist()
         self.length = len(self.vpns)
         self.index = 0
         self.advance()
@@ -524,13 +526,16 @@ class ComputeUnit:
         same PPN and same PA line, so inside a provable fused run such
         an access is a guaranteed L1-TLB + L1-cache hit whose LRU
         touches are no-ops — the fast path consumes it without probing
-        either structure (see :meth:`_WavefrontSlot._issue`).
+        either structure (see :meth:`_WavefrontSlot._issue`).  All three
+        stay numpy arrays until a slot picks the CTA and turns them into
+        lists, so a queued CTA holds no Python objects for the garbage
+        collector to traverse.
         """
         if len(trace):
             lines = trace >> _LINE_SHIFT
-            sames = [False]
-            if len(trace) > 1:
-                sames.extend((lines[1:] == lines[:-1]).tolist())
+            sames = np.empty(len(trace), dtype=bool)
+            sames[0] = False
+            np.equal(lines[1:], lines[:-1], out=sames[1:])
             self.cta_queue.append(
                 (trace >> self.page_shift, trace & self._offset_mask, sames)
             )

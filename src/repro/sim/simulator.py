@@ -53,15 +53,17 @@ _FREEZABLE = (type(None), bool, int, float, str, bytes)
 def _freeze(value, depth):
     """A hashable, *content-based* stand-in for ``value``.
 
-    Only primitives, tuples of primitives and plain functions are
-    accepted; anything whose equality we cannot establish structurally
-    (arrays, arbitrary objects) raises :class:`_Unfingerprintable`, which
-    makes the kernel's traces uncacheable rather than wrongly shared.
+    Only primitives, tuples and lists of freezable items and plain
+    functions are accepted; anything whose equality we cannot establish
+    structurally (arrays, dicts, arbitrary objects) raises
+    :class:`_Unfingerprintable`, which makes the kernel's traces
+    uncacheable rather than wrongly shared.  A sequence freezes to its
+    type plus its items, so ``[x]`` and ``(x,)`` stay distinct.
     """
     if isinstance(value, _FREEZABLE):
         return value
-    if isinstance(value, tuple):
-        return tuple(_freeze(item, depth) for item in value)
+    if isinstance(value, (tuple, list)):
+        return (type(value),) + tuple(_freeze(item, depth) for item in value)
     if callable(value):
         return _fn_fingerprint(value, depth + 1)
     raise _Unfingerprintable

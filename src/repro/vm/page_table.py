@@ -75,9 +75,27 @@ class PageTable:
         Creates (or reuses) the radix nodes on the walk path.  Node homes
         are left unset here; the PTE-placement policy assigns them.
         """
-        self._translations[vpn] = (ppn, data_home)
-        for level in range(self.geometry.levels, 0, -1):
-            self._node(level, self.geometry.node_prefix(vpn, level))
+        self.map_pages({vpn: (ppn, data_home)})
+
+    def map_pages(self, translations):
+        """:meth:`map_page` for every ``vpn -> (ppn, data_home)`` of the
+        dict ``translations``, in its order.
+
+        A walk path is a function of the VPN's leaf prefix, and a page
+        revisits every node an earlier page with the same leaf prefix
+        created.  So new nodes appear only at the first page of each leaf
+        prefix, and creating the paths of those pages alone, root to
+        leaf, allocates exactly the nodes a page-by-page loop would, in
+        the same order.  That order is load-bearing: it fixes each node's
+        synthetic ``pa``, hence every PTE line address and L2 set.
+        """
+        self._translations.update(translations)
+        radix_bits = self.geometry.radix_bits
+        levels = range(self.geometry.levels, 0, -1)
+        node = self._node
+        for leaf in dict.fromkeys([vpn >> radix_bits for vpn in translations]):
+            for level in levels:
+                node(level, leaf >> (radix_bits * (level - 1)))
 
     def set_node_home(self, level, prefix, chiplet):
         node = self._nodes.get((level, prefix))

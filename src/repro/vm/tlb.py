@@ -4,9 +4,11 @@ Used for the per-CU L1 TLBs (fully associative, 32 entries) and for the
 per-chiplet L2 TLB slices (512 entries, 8-way).  Each entry can carry a
 ``coarse_home`` tag — the chiplet the VPN would map to under dHSL-coarse —
 which MGvm's switch-back logic reads (Section V of the paper).
-"""
 
-from collections import OrderedDict
+Each set is a plain ``dict`` kept in LRU order (a hit deletes and
+reinserts its entry; the first key is the victim), as in
+:mod:`repro.mem.cache`.
+"""
 
 
 class TLBEntry:
@@ -60,7 +62,7 @@ class TLB:
         self.assoc = assoc
         self.num_sets = entries // assoc
         self.name = name
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
         self.insertions = 0
@@ -85,7 +87,8 @@ class TLB:
         if entry is None:
             self.misses += 1
             return None
-        line.move_to_end(vpn)
+        del line[vpn]
+        line[vpn] = entry
         self.hits += 1
         return entry
 
@@ -95,14 +98,15 @@ class TLB:
 
     def insert(self, entry):
         """Insert ``entry``; return the evicted entry if any."""
-        line = self._set_for(entry.vpn)
+        vpn = entry.vpn
+        line = self._set_for(vpn)
         evicted = None
-        if entry.vpn in line:
-            line.move_to_end(entry.vpn)
+        if vpn in line:
+            del line[vpn]
         elif len(line) >= self.assoc:
-            _vpn, evicted = line.popitem(last=False)
+            evicted = line.pop(next(iter(line)))
             self.evictions += 1
-        line[entry.vpn] = entry
+        line[vpn] = entry
         self.insertions += 1
         return evicted
 

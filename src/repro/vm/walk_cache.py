@@ -10,9 +10,10 @@ address of the node at level ``L`` covering the VPN, so the walk starts
 by reading the PTE at level ``L`` — ``L`` memory accesses total.  Leaf
 translations themselves go to the TLBs, never the PWC, so the best case
 is a single (leaf) access and the worst case is a full 4-level walk.
-"""
 
-from collections import OrderedDict
+The LRU order lives in a plain ``dict``: a hit deletes and reinserts its
+key, and the first key is the victim.
+"""
 
 
 class PageWalkCache:
@@ -29,7 +30,7 @@ class PageWalkCache:
             raise ValueError("entries must be >= 1")
         self.entries = entries
         self.name = name
-        self._lru = OrderedDict()
+        self._lru = {}
         self.hits = 0
         self.misses = 0
 
@@ -43,7 +44,8 @@ class PageWalkCache:
         for level in self.CACHED_LEVELS:
             key = (level, geometry.node_prefix(vpn, level))
             if key in self._lru:
-                self._lru.move_to_end(key)
+                del self._lru[key]
+                self._lru[key] = True
                 self.hits += 1
                 return level
         self.misses += 1
@@ -61,11 +63,10 @@ class PageWalkCache:
         for level in range(1, top + 1):
             key = (level, geometry.node_prefix(vpn, level))
             if key in self._lru:
-                self._lru.move_to_end(key)
-            else:
-                if len(self._lru) >= self.entries:
-                    self._lru.popitem(last=False)
-                self._lru[key] = True
+                del self._lru[key]
+            elif len(self._lru) >= self.entries:
+                del self._lru[next(iter(self._lru))]
+            self._lru[key] = True
 
     def flush(self):
         self._lru.clear()

@@ -190,13 +190,13 @@ def interleave_chunks(parts):
     if any(k < 1 for k in chunk_sizes):
         raise ValueError("chunk sizes must be >= 1")
     cycles = min(len(a) // k for a, k in zip(arrays, chunk_sizes))
-    pieces = []
-    for cycle in range(cycles):
-        for array, k in zip(arrays, chunk_sizes):
-            pieces.append(array[cycle * k : (cycle + 1) * k])
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(pieces)
+    # Row ``c`` of each block is that stream's chunk in cycle ``c``;
+    # joining the blocks side by side and flattening row-major yields
+    # the cycles back to back.
+    return np.concatenate(
+        [a[: cycles * k].reshape(cycles, k) for a, k in zip(arrays, chunk_sizes)],
+        axis=1,
+    ).ravel()
 
 
 def tile_of(cta_id, num_ctas, size):

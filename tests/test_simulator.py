@@ -172,6 +172,35 @@ class TestTraceCache:
         b = simulate(build_kernel("GUPS", scale="smoke"), params, design("mgvm"), seed=2)
         assert a.cycles != b.cycles
 
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_every_registry_workload_is_cacheable(self, workload):
+        """One key per workload, shared by the four main designs: a
+        closure capturing an unfreezable value (SYRK's and SYR2's list of
+        matrices once did) would regenerate its traces for every design."""
+        from repro.sim.simulator import _trace_cache_key
+
+        params = scaled_params("smoke")
+        keys = {
+            _trace_cache_key(
+                launch_kernel(
+                    build_kernel(workload, scale="smoke"),
+                    params,
+                    design(design_name),
+                ),
+                0,
+            )
+            for design_name in ("private", "shared", "mgvm-nobalance", "mgvm")
+        }
+        assert len(keys) == 1 and None not in keys
+
+    def test_lists_and_tuples_freeze_apart(self):
+        from repro.sim.simulator import _freeze
+
+        assert _freeze([1, "a"], 0) == _freeze([1, "a"], 0)
+        assert _freeze([1], 0) != _freeze((1,), 0)
+        assert _freeze([[1]], 0) != _freeze([(1,)], 0)
+        hash(_freeze([1, (2, [3])], 0))
+
     def test_cache_can_be_disabled(self, monkeypatch):
         from repro.sim import simulator as sim_mod
 
