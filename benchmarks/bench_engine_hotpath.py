@@ -27,9 +27,6 @@ CLI modes (``PYTHONPATH=src python benchmarks/bench_engine_hotpath.py``):
   on a different host).
 * ``--queues`` — print the queue-discipline sweep (heap vs calendar at
   several queue depths).
-* ``--hist`` — run one smoke simulation per workload with the fused
-  fast path's run-length histogram enabled and print how often fusion
-  fires (and how long its runs are) per workload.
 
 ``scripts/bench_smoke.sh`` snapshots the default numbers into
 ``results/BENCH_engine.json``.
@@ -62,10 +59,6 @@ QUEUE_OPS = 200_000
 #: Queue depths for the --queues sweep (events resident in the queue).
 QUEUE_DEPTHS = (16, 256, 4096)
 
-#: Workloads whose fused-path firing rate the --hist mode documents
-#: (spanning streaming, random-thrash, graph and dense-linear regimes).
-HIST_WORKLOADS = ("GUPS", "J2D", "SPMV", "SYRK", "PR", "RED")
-
 #: --check noise margins.  The default tolerates timer noise plus the
 #: ~2x fast/slow regimes CI containers alternate between; when the
 #: snapshot being compared against was taken on a *different* host
@@ -73,24 +66,6 @@ HIST_WORKLOADS = ("GUPS", "J2D", "SPMV", "SYRK", "PR", "RED")
 #: events/s are only loosely comparable.
 CHECK_MARGIN = 0.55
 CHECK_MARGIN_CROSS_HOST = 0.70
-
-#: Sharded-engine guard.  The exact-order sharded drain does strictly
-#: more work per event than the single-stream calendar (burst select,
-#: window compares, mailbox flushes), so its accesses/s *ratio* to
-#: single-stream sits below 1.0 by design — around 0.5-0.7 at 8 shards
-#: on one core (see docs/performance.md).  The guard checks the ratio
-#: (dimensionless, so far more noise- and host-robust than raw rates)
-#: against the snapshot with a margin, plus an absolute floor that
-#: catches a sharded drain falling off a cliff even when the snapshot
-#: itself is missing the ratio fields.
-SHARDED_RATIO_MARGIN = 0.40
-SHARDED_RATIO_FLOOR = 0.25
-
-#: Sharded-measurement geometries: (key, workload, chiplets, topology).
-SHARDED_CONFIGS = (
-    ("ring8", "J2D", 8, "ring"),
-    ("a2a4", "GUPS", 4, "all-to-all"),
-)
 
 
 def drive_engine(num_events=EVENTS, fanout=FANOUT):
@@ -171,60 +146,6 @@ def queue_discipline_sweep(ops=QUEUE_OPS, depths=QUEUE_DEPTHS, rounds=3):
     return out
 
 
-def fused_run_histogram(workloads=HIST_WORKLOADS, scale="smoke", mode="1"):
-    """Per-workload fused-path statistics from instrumented smoke runs.
-
-    ``mode`` selects the fusion guard: ``"1"`` (default, provable
-    machine-wide window — bit-identical, fires mostly in drain-tail
-    phases) or ``"aggressive"`` (CU-local safety only — fires in
-    steady state, may shift same-cycle tie order).  Returns
-    ``{workload: {"mem_accesses": n, "fused_accesses": n,
-    "fused_fraction": f, "run_length_hist": {length: count}}}``.  Uses
-    the ``REPRO_SIM_FUSE_HIST`` switch so the histogram insert stays off
-    the hot path in normal runs.
-    """
-    from repro.driver.kernel_launch import launch_kernel
-    from repro.sim.simulator import Simulator
-
-    previous = {
-        key: os.environ.get(key)
-        for key in ("REPRO_SIM_FUSE_HIST", "REPRO_SIM_FUSE")
-    }
-    os.environ["REPRO_SIM_FUSE_HIST"] = "1"
-    os.environ["REPRO_SIM_FUSE"] = mode
-    try:
-        out = {}
-        params = scaled_params(scale)
-        for name in workloads:
-            clear_trace_cache()
-            kernel = build_kernel(name, scale=scale)
-            launch = launch_kernel(kernel, params, design("mgvm"))
-            simulator = Simulator(launch, params, seed=0)
-            stats = simulator.run()
-            hist = {}
-            fused = 0
-            for cu in simulator.cus:
-                fused += cu._fused_accesses
-                if cu._fuse_hist:
-                    for length, count in cu._fuse_hist.items():
-                        hist[length] = hist.get(length, 0) + count
-            out[name] = {
-                "mem_accesses": stats.mem_accesses,
-                "fused_accesses": fused,
-                "fused_fraction": round(fused / max(stats.mem_accesses, 1), 4),
-                "run_length_hist": {
-                    str(k): hist[k] for k in sorted(hist)
-                },
-            }
-        return out
-    finally:
-        for key, value in previous.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def run_smoke_sim():
     """One end-to-end smoke simulation with a cold trace cache."""
     clear_trace_cache()
@@ -233,59 +154,7 @@ def run_smoke_sim():
     return simulate(kernel, params, design("mgvm"), seed=0)
 
 
-def measure_sharded(rounds=3, configs=SHARDED_CONFIGS):
-    """Sharded vs single-stream throughput on the tracked geometries.
-
-    Measures **accesses/s** (``stats.mem_accesses`` over wall-clock),
-    not events/s: the fused fast path collapses events, so event counts
-    are not comparable across configurations with different fusion
-    rates while the memory-access count is an invariant of the
-    workload.  Results are verified bit-identical between the two modes
-    as a side effect.  Returns ``{key: {"accesses_per_sec": f,
-    "sharded_accesses_per_sec": f, "sharded_ratio": f}}``.
-    """
-    import time
-
-    previous = os.environ.get("REPRO_ENGINE_SHARDS")
-    out = {}
-    try:
-        for key, workload, chiplets, topology in configs:
-            rates = {}
-            reference = None
-            for mode, env in (("single", "0"), ("sharded", "auto")):
-                os.environ["REPRO_ENGINE_SHARDS"] = env
-                best = 0.0
-                for _ in range(rounds):
-                    clear_trace_cache()
-                    kernel = build_kernel(workload, scale="smoke")
-                    params = scaled_params(
-                        "smoke", num_chiplets=chiplets, topology=topology
-                    )
-                    start = time.perf_counter()
-                    stats = simulate(kernel, params, design("mgvm"), seed=0)
-                    elapsed = time.perf_counter() - start
-                    best = max(best, stats.mem_accesses / elapsed)
-                rates[mode] = best
-                if reference is None:
-                    reference = stats
-                elif stats != reference:
-                    raise AssertionError(
-                        "sharded run diverged from single-stream on %s" % key
-                    )
-            out[key] = {
-                "accesses_per_sec": round(rates["single"], 1),
-                "sharded_accesses_per_sec": round(rates["sharded"], 1),
-                "sharded_ratio": round(rates["sharded"] / rates["single"], 4),
-            }
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_ENGINE_SHARDS", None)
-        else:
-            os.environ["REPRO_ENGINE_SHARDS"] = previous
-    return out
-
-
-def measure_snapshot(rounds=3, sharded=True):
+def measure_snapshot(rounds=3):
     """Best-of-``rounds`` numbers for the BENCH_engine.json trajectory."""
     import time
 
@@ -302,18 +171,10 @@ def measure_snapshot(rounds=3, sharded=True):
         run_smoke_sim()
         best_sim = min(best_sim, time.perf_counter() - start)
 
-    snapshot = {
+    return {
         "engine_events_per_sec": round(best_eps, 1),
         "smoke_sim_seconds": round(best_sim, 4),
     }
-    if sharded:
-        for key, rates in measure_sharded(rounds=rounds).items():
-            snapshot["%s_accesses_per_sec" % key] = rates["accesses_per_sec"]
-            snapshot["%s_sharded_accesses_per_sec" % key] = rates[
-                "sharded_accesses_per_sec"
-            ]
-            snapshot["%s_sharded_ratio" % key] = rates["sharded_ratio"]
-    return snapshot
 
 
 # host_fingerprint / load_history / select_baseline_snapshot moved to
@@ -365,25 +226,15 @@ def append_snapshot(path=BENCH_HISTORY_PATH, rounds=3):
     return snapshot
 
 
-def check_against_snapshot(path="results/BENCH_engine.json", rounds=3,
-                           sharded=True):
-    """Perf guard: live numbers must not regress beyond the noise
-    margins below the selected baseline snapshot.  Returns (ok, report).
-
-    Two checks:
-
-    * raw engine events/s against the snapshot's, with the classic
-      (cross-host-widened) margin;
-    * the sharded/single accesses/s *ratio* per tracked geometry
-      against the snapshot's ratio with :data:`SHARDED_RATIO_MARGIN`,
-      plus the absolute :data:`SHARDED_RATIO_FLOOR`.  The ratio is
-      dimensionless, so it transfers across hosts where raw rates do
-      not.
+def check_against_snapshot(path="results/BENCH_engine.json", rounds=3):
+    """Perf guard: live engine events/s must not regress beyond the
+    (cross-host-widened) noise margin below the selected baseline
+    snapshot.  Returns (ok, report).
     """
     baseline, selected = select_baseline_snapshot(path)
     if baseline is None:
         return False, selected
-    live = measure_snapshot(rounds=rounds, sharded=sharded)
+    live = measure_snapshot(rounds=rounds)
     margin = CHECK_MARGIN
     same_host = baseline.get("host") == host_fingerprint()
     if not same_host:
@@ -403,33 +254,6 @@ def check_against_snapshot(path="results/BENCH_engine.json", rounds=3,
             "" if same_host else ", cross-host widened",
         ),
     ]
-    if sharded:
-        for key, _workload, _chiplets, _topology in SHARDED_CONFIGS:
-            field = "%s_sharded_ratio" % key
-            ratio = live.get(field)
-            if ratio is None:
-                continue
-            ratio_floor = SHARDED_RATIO_FLOOR
-            base_ratio = baseline.get(field)
-            if base_ratio is not None:
-                ratio_floor = max(
-                    ratio_floor, base_ratio * (1.0 - SHARDED_RATIO_MARGIN)
-                )
-            this_ok = ratio >= ratio_floor
-            ok = ok and this_ok
-            lines.append(
-                "%s: %s sharded/single ratio %.3f vs floor %.3f"
-                "%s"
-                % (
-                    "pass" if this_ok else "FAIL",
-                    key,
-                    ratio,
-                    ratio_floor,
-                    ""
-                    if base_ratio is not None
-                    else " (absolute floor; snapshot has no ratio)",
-                )
-            )
     return ok, "\n".join(lines)
 
 
@@ -494,11 +318,6 @@ def _main(argv):
         action="store_true",
         help="print the heap-vs-calendar hold-model sweep across depths",
     )
-    parser.add_argument(
-        "--hist",
-        action="store_true",
-        help="print the fused-path run-length histogram per workload",
-    )
     args = parser.parse_args(argv)
 
     if args.check:
@@ -515,17 +334,6 @@ def _main(argv):
                 "depth %5d: calendar/heap = %.2fx" % (depth, ratio),
                 file=sys.stderr,
             )
-        return 0
-    if args.hist:
-        print(
-            json.dumps(
-                {
-                    "provable": fused_run_histogram(mode="1"),
-                    "aggressive": fused_run_histogram(mode="aggressive"),
-                },
-                indent=2,
-            )
-        )
         return 0
     print(json.dumps(append_snapshot(path=args.path), indent=2))
     return 0

@@ -1,16 +1,14 @@
-"""Engine-equivalence matrix: every engine mode, identical results.
+"""Engine-equivalence matrix: default engine == heap oracle, exactly.
 
-The simulator offers three interchangeable event-engine disciplines:
+The simulator runs on one event engine and keeps one reference:
 
 * the default — :class:`~repro.engine.event_queue.CalendarEventQueue`
-  with the CU's fused fast path enabled;
+  with the CU's provable fused fast path enabled;
 * the oracle — :class:`~repro.engine.event_queue.HeapEventQueue` with
   fusion disabled (``REPRO_ENGINE_QUEUE=heap REPRO_SIM_FUSE=0``), the
-  simplest possible schedule;
-* the sharded engine — per-chiplet shards merged in exact global
-  ``(time, seq)`` order (``REPRO_ENGINE_SHARDS=auto``).
+  simplest possible schedule.
 
-All three must produce **equal** :class:`RunStats` (dataclass ``==`` —
+Both must produce **equal** :class:`RunStats` (dataclass ``==`` —
 every counter and every float, no tolerance) on every configuration.
 This script sweeps workloads x designs x geometries x contention — each
 configuration enumerated as an :class:`repro.core.spec.ExperimentSpec`,
@@ -18,7 +16,7 @@ each engine mode a registry :data:`repro.core.spec.ENGINE_MODES` entry —
 and verifies exactly that:
 
     6 workloads x 4 designs x 4 geometries x 2 contention = 192 configs,
-    each compared across 3 engine modes.
+    each compared across the 2 engine modes.
 
 Usage (from the repo root)::
 
@@ -52,7 +50,7 @@ from repro.core.spec import (  # noqa: E402  (path bootstrap above)
 WORKLOADS = ("GUPS", "J2D", "SPMV", "SYRK", "PR", "RED")
 DESIGNS = design_group("main")
 #: (topology, chiplets) pairs: the paper's all-to-all, plus the routed
-#: geometries whose cross-shard latencies differ per pair.
+#: geometries whose cross-chiplet latencies differ per pair.
 GEOMETRIES = (
     ("all-to-all", 4),
     ("ring", 8),
@@ -129,8 +127,8 @@ def run_config(spec):
     results = {}
     for mode, engine in ENGINE_MODES.items():
         # Unlike the runner (which leaves None fields to the ambient
-        # environment), the matrix pins all three escape hatches per
-        # mode — a stray REPRO_* var must not leak across modes.
+        # environment), the matrix pins both escape hatches per mode —
+        # a stray REPRO_* var must not leak across modes.
         _apply_env(replace(spec, engine=engine).engine.env())
         clear_trace_cache()
         results[mode] = simulate(

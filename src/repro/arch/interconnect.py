@@ -150,17 +150,6 @@ class Interconnect:
         """Uncontended latency of the routed ``src -> dst`` path (0 local)."""
         return self._pair_latency[(src, dst)]
 
-    def min_remote_latency(self):
-        """Smallest uncontended latency between two distinct chiplets.
-
-        The fabric's conservative lookahead: link contention can only
-        *delay* a message beyond its uncontended path latency, so every
-        cross-chiplet event lands at least this many cycles after it was
-        sent.  The sharded engine uses it as the provable synchronization
-        window (:mod:`repro.engine.sharded`).  0.0 for a single chiplet.
-        """
-        return self.topology.min_path_weight() * self.link_latency
-
     def hop_count(self, src, dst):
         """Links a ``src -> dst`` message traverses (0 if local)."""
         return self._pair_hops[(src, dst)]

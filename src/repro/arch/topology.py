@@ -98,24 +98,6 @@ class Topology:
         """The largest hop count over all pairs."""
         return max(len(path) for path in self._paths.values())
 
-    def min_path_weight(self):
-        """The smallest routed weight between two *distinct* chiplets.
-
-        This is the conservative lookahead of the fabric (in base-hop
-        units): no message leaving a chiplet can arrive anywhere else in
-        less than ``min_path_weight() * link_latency`` cycles, so a
-        per-chiplet engine shard may run that far ahead of its peers
-        without ever missing a cross-chiplet event (see
-        :mod:`repro.engine.sharded`).  Returns 0.0 for a single-chiplet
-        machine (no remote pairs — there is nothing to synchronize).
-        """
-        weights = [
-            self.path_weight(src, dst)
-            for (src, dst), path in self._paths.items()
-            if path
-        ]
-        return min(weights) if weights else 0.0
-
     def _validate_path(self, src, dst, path):
         if not path:
             raise ValueError(

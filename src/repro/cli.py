@@ -527,8 +527,6 @@ def cmd_profile(args):
     workload = _resolve_workload(args.workload)
     kernel = build_kernel(workload, scale=args.scale)
     params = scaled_params(args.scale, **_geometry_overrides(args))
-    if args.shards is not None:
-        os.environ["REPRO_ENGINE_SHARDS"] = args.shards
     profiler = HostProfiler()
     log.info(
         "profiling %s under %s (scale=%s, seed=%d)",
@@ -1169,11 +1167,6 @@ def build_parser():
         help="rows in the printed top-N table",
     )
     prof_p.add_argument("--seed", type=int, default=0)
-    prof_p.add_argument(
-        "--shards",
-        help="per-chiplet engine shards for this run ('auto', a count, "
-        "or '0'); equivalent to setting REPRO_ENGINE_SHARDS",
-    )
     _add_scale(prof_p)
     _add_geometry(prof_p)
     _add_logging(prof_p)

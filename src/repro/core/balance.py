@@ -216,13 +216,10 @@ class BalanceController:
             # Alert travels to the CP, the CP polls all RTUs and slices,
             # replies come back.  Route-dependent on a routed fabric;
             # three link crossings end-to-end on the flat all-to-all.
-            # The evaluation runs at the CP (sharded engine: the CP
-            # chiplet's shard); the gather delay covers the alert, the
-            # poll fan-out and the replies, all of which are at least
-            # one fabric crossing.
-            self.engine.after_on(
-                self.cp_chiplet, self._gather_delay(chiplet), self._cp_evaluate
-            )
+            # The evaluation runs at the CP; the gather delay covers the
+            # alert, the poll fan-out and the replies, all of which are
+            # at least one fabric crossing.
+            self.engine.after(self._gather_delay(chiplet), self._cp_evaluate)
 
     def _cp_evaluate(self):
         """Listing 2: the CP decides whether to switch to fine grain."""
@@ -262,10 +259,8 @@ class BalanceController:
             # CP -> chiplet route (one crossing on the flat all-to-all);
             # they apply it asynchronously, so far chiplets on a routed
             # topology run with a stale HSL copy for longer.
-            self.engine.after_on(
-                component[0],
-                self._cp_delay(component[0]),
-                self._make_apply(component, mode),
+            self.engine.after(
+                self._cp_delay(component[0]), self._make_apply(component, mode)
             )
 
     def _make_apply(self, component, mode):

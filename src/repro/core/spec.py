@@ -159,28 +159,36 @@ class EngineSpec:
     """Event-engine discipline selection (result-neutral by contract).
 
     Maps one-for-one onto the engine escape hatches: ``queue`` →
-    ``REPRO_ENGINE_QUEUE``, ``shards`` → ``REPRO_ENGINE_SHARDS``,
-    ``fuse`` → ``REPRO_SIM_FUSE``.  ``None`` inherits the ambient
-    environment (the default engine).  Engine choice never enters
-    :meth:`ExperimentSpec.cache_key`: all disciplines are bit-identical
-    (scripts/equivalence_matrix.py is the standing proof).
+    ``REPRO_ENGINE_QUEUE``, ``fuse`` → ``REPRO_SIM_FUSE``.  ``None``
+    inherits the ambient environment (the default engine).  Engine
+    choice never enters :meth:`ExperimentSpec.cache_key`: both
+    disciplines are bit-identical (scripts/equivalence_matrix.py is the
+    standing proof).
     """
 
     queue: str = None  # None (ambient) | "calendar" | "heap"
-    shards: str = None  # None (ambient) | "0" | "auto" | a shard count
-    fuse: str = None  # None (ambient) | "0" | "1" | "aggressive"
+    fuse: str = None  # None (ambient) | "0" | "1"
 
-    _ENV = (
-        ("queue", "REPRO_ENGINE_QUEUE"),
-        ("shards", "REPRO_ENGINE_SHARDS"),
-        ("fuse", "REPRO_SIM_FUSE"),
+    #: ``(field, environment variable, accepted values besides None)``.
+    _FIELDS = (
+        ("queue", "REPRO_ENGINE_QUEUE", ("calendar", "heap")),
+        ("fuse", "REPRO_SIM_FUSE", ("0", "1")),
     )
+
+    def __post_init__(self):
+        for name, _var, choices in self._FIELDS:
+            value = getattr(self, name)
+            if value is not None and value not in choices:
+                raise ValueError(
+                    "engine.%s must be one of %s (got %r)"
+                    % (name, ", ".join(map(repr, choices)), value)
+                )
 
     def env(self):
         """Environment overrides: ``{var: value-or-None}`` (None=unset)."""
         return {
             var: None if getattr(self, name) is None else str(getattr(self, name))
-            for name, var in self._ENV
+            for name, var, _choices in self._FIELDS
         }
 
     def is_default(self):
@@ -196,10 +204,9 @@ class EngineSpec:
     @classmethod
     def from_dict(cls, data):
         data = dict(data or {})
-        # TOML/JSON may carry shard counts / fuse modes as numbers.
-        for name in ("shards", "fuse"):
-            if name in data and data[name] is not None:
-                data[name] = str(data[name])
+        # TOML/JSON may carry the fuse mode as a number.
+        if data.get("fuse") is not None:
+            data["fuse"] = str(data["fuse"])
         return cls(**data)
 
 
@@ -588,7 +595,6 @@ def design_group(name):
 ENGINE_MODES = {
     "default": EngineSpec(),
     "heap-oracle": EngineSpec(queue="heap", fuse="0"),
-    "sharded": EngineSpec(shards="auto"),
 }
 
 #: The subset the paper evaluates with 64 KB pages (Figure 11).

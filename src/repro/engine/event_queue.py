@@ -108,16 +108,6 @@ class HeapEventQueue:
         heap = self._heap
         return heap[0][0] if heap else None
 
-    def push_on(self, chiplet, time, callback):
-        """Schedule ``callback`` at ``time``, hinting it belongs to
-        ``chiplet``.  Single-stream disciplines ignore the hint — there
-        is one queue — so this is exactly :meth:`push`.  The sharded
-        engine routes it to the chiplet's shard."""
-        self.push(time, callback)
-
-    def set_push_shard(self, chiplet):
-        """Set the default shard for hint-less pushes (no-op here)."""
-
     def drain(self, engine, until=None, max_events=None, record=None):
         """Dispatch events in order; see :meth:`Engine.run` for semantics.
 
@@ -265,52 +255,6 @@ class CalendarEventQueue:
             self._wheel_count += 1
         else:
             _heappush(self._overflow, (time, seq, callback))
-
-    def push_seq(self, time, seq, callback):
-        """Schedule with an externally assigned sequence number.
-
-        The sharded engine partitions events over several calendar
-        queues but keeps **one** machine-wide sequence counter (the
-        global ``(time, seq)`` tie-break must match the single-stream
-        schedule exactly), so shard pushes carry their sequence number
-        in from outside.  Identical placement logic to :meth:`push`;
-        ``seq`` is still strictly increasing across calls, which is the
-        property the O(1) run placement relies on.
-        """
-        tick = int(time)
-        base = self._base_tick
-        if tick <= base:
-            run = self._run
-            if not run or time >= run[0][0]:
-                run.appendleft((time, seq, callback))
-            elif time < run[-1][0]:
-                run.append((time, seq, callback))
-            else:
-                self._staged.append((time, seq, callback))
-        elif tick - base < _WHEEL_SIZE:
-            self._buckets[tick & _WHEEL_MASK].append((time, seq, callback))
-            self._wheel_count += 1
-        else:
-            _heappush(self._overflow, (time, seq, callback))
-
-    def peek_key(self):
-        """``(time, seq)`` of the earliest event, or ``None`` if empty.
-
-        Settles staged events and advances the wheel as needed (same
-        side effects as :meth:`peek_time`); used by the sharded engine
-        to pick the next shard and compute conservative windows.
-        """
-        if not self._settle():
-            return None
-        head = self._run[-1]
-        return head[0], head[1]
-
-    def push_on(self, chiplet, time, callback):
-        """Single-stream discipline: the shard hint is ignored."""
-        self.push(time, callback)
-
-    def set_push_shard(self, chiplet):
-        """Set the default shard for hint-less pushes (no-op here)."""
 
     def fusion_horizon(self):
         """Time of the earliest queued event, or ``None`` if empty.
@@ -536,10 +480,18 @@ def EventQueue():
     :class:`HeapEventQueue` — the escape hatch for triaging any
     suspected queue-discipline problem (both disciplines are proven
     pop-order-identical by property test, so results do not change).
+    Unset or empty means the calendar; any value other than
+    ``calendar`` or ``heap`` raises :class:`ValueError`.
     """
-    if os.environ.get("REPRO_ENGINE_QUEUE", "").strip().lower() == "heap":
+    queue = os.environ.get("REPRO_ENGINE_QUEUE", "").strip().lower()
+    if queue == "heap":
         return HeapEventQueue()
-    return CalendarEventQueue()
+    if queue in ("", "calendar"):
+        return CalendarEventQueue()
+    raise ValueError(
+        "REPRO_ENGINE_QUEUE must be 'calendar' or 'heap' (got %r)"
+        % os.environ["REPRO_ENGINE_QUEUE"]
+    )
 
 
 class Engine:
@@ -570,56 +522,6 @@ class Engine:
         if delay < 0:
             raise ValueError("negative delay: %r" % (delay,))
         self.events.push(self.now + delay, callback)
-
-    def at_on(self, chiplet, time, callback):
-        """Like :meth:`at`, but name the chiplet the event belongs to.
-
-        Cross-chiplet messages (translation routing, data fills, RTU
-        alert/switch propagation) schedule their delivery with this so
-        the sharded engine can file the event on the *destination*
-        chiplet's shard.  On the single-stream disciplines the hint is
-        ignored, so call sites stay queue-agnostic.
-        """
-        if time < self.now:
-            raise ValueError(
-                "cannot schedule event in the past: %r < now %r" % (time, self.now)
-            )
-        self.events.push_on(chiplet, time, callback)
-
-    def after_on(self, chiplet, delay, callback):
-        """Like :meth:`after`, with a destination-chiplet hint."""
-        if delay < 0:
-            raise ValueError("negative delay: %r" % (delay,))
-        self.events.push_on(chiplet, self.now + delay, callback)
-
-    def configure_shards(self, num_chiplets, lookahead):
-        """Partition the queue into per-chiplet shards if requested.
-
-        Reads ``REPRO_ENGINE_SHARDS`` (``0``/unset — off, ``auto`` — one
-        shard per chiplet, ``N`` — ``min(N, num_chiplets)`` shards) and,
-        when sharding is on, swaps :attr:`events` for a
-        :class:`repro.engine.sharded.ShardedEventQueue` with the given
-        conservative ``lookahead`` (cycles; from
-        :meth:`repro.arch.interconnect.Interconnect.min_remote_latency`).
-        ``REPRO_ENGINE_QUEUE=heap`` takes precedence: the heap oracle
-        stays single-stream.  Must be called before any event is pushed.
-        Returns the shard count (0 when sharding stays off).
-        """
-        from repro.engine.sharded import ShardedEventQueue, shard_count_from_env
-
-        num_shards = shard_count_from_env(num_chiplets)
-        if num_shards < 2:
-            return 0
-        if isinstance(self.events, HeapEventQueue):
-            return 0
-        if len(self.events):
-            raise RuntimeError(
-                "configure_shards() after events were scheduled"
-            )
-        self.events = ShardedEventQueue(
-            num_chiplets, num_shards, lookahead, engine=self
-        )
-        return num_shards
 
     def run(self, until=None, max_events=None):
         """Run events in order.

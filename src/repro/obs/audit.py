@@ -159,10 +159,10 @@ class AuditProbe(Probe):
         self._pair_chk = None
         # Global dispatch-clock high-water mark.  Per-request
         # monotonicity (audit_t) cannot see a machine-wide ordering
-        # violation: an out-of-window event dispatched by a buggy
-        # sharded drain still carries its *own* consistent timestamps,
-        # so every per-request chain stays monotone while engine.now
-        # jumps backward between events.  Tracking the maximum observed
+        # violation: an event dispatched out of order by a buggy queue
+        # still carries its *own* consistent timestamps, so every
+        # per-request chain stays monotone while engine.now jumps
+        # backward between events.  Tracking the maximum observed
         # engine.now across all hook invocations catches exactly that.
         self._clock_hwm = float("-inf")
 
@@ -208,11 +208,11 @@ class AuditProbe(Probe):
     def _clock(self, what):
         """Engine-clock monotonicity: dispatch time must never regress.
 
-        Called from hooks that fire inside event dispatch.  The sharded
-        engine's burst windows guarantee machine-wide ``(time, seq)``
-        dispatch order, so ``engine.now`` is non-decreasing across *all*
-        events — a regression below the high-water mark means an event
-        escaped its conservative window.
+        Called from hooks that fire inside event dispatch.  The event
+        queue dispatches in machine-wide ``(time, seq)`` order, so
+        ``engine.now`` is non-decreasing across *all* events — a
+        regression below the high-water mark means some event was
+        dispatched out of order.
         """
         engine = self.engine
         if engine is None:
@@ -228,7 +228,7 @@ class AuditProbe(Probe):
             self._violate(
                 "engine-clock-regression",
                 "%s dispatched at %.6f after the engine clock already "
-                "reached %.6f (cross-shard ordering violation)"
+                "reached %.6f (out-of-order dispatch)"
                 % (what, now, hwm),
                 hook=what,
                 now=now,

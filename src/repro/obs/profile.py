@@ -79,11 +79,6 @@ class HostProfiler:
         self._names = {}
         self.total_seconds = 0.0
         self.total_events = 0
-        # Per-shard dispatch rollup ``(shard, chiplets, events, seconds)``,
-        # populated after a profiled run on the sharded engine (the
-        # shards themselves maintain the buckets during drain — every
-        # shard's dispatches are timed, not just shard 0's).
-        self.shards = []
 
     # -- hot path -----------------------------------------------------------
 
@@ -103,16 +98,6 @@ class HostProfiler:
         entry[1] += 1
         self.total_seconds += seconds
         self.total_events += 1
-
-    def set_shard_profile(self, rows):
-        """Attach the per-shard dispatch rollup of a sharded run.
-
-        ``rows`` is ``[(shard, chiplets, events, seconds), ...]`` as
-        returned by ``ShardedEventQueue.shard_profile()``.  Single-stream
-        runs never call this, so ``shards`` stays empty and the report is
-        unchanged.
-        """
-        self.shards = list(rows)
 
     # -- aggregation --------------------------------------------------------
 
@@ -169,32 +154,10 @@ class HostProfiler:
             ["component", "event", "calls", "seconds", "share", "us/event"],
             rows,
         )
-        text = "%s\ntotal: %d events, %.4fs host wall-clock" % (
+        return "%s\ntotal: %d events, %.4fs host wall-clock" % (
             table,
             self.total_events,
             self.total_seconds,
-        )
-        if self.shards:
-            text += "\n\n" + self.format_shard_report()
-        return text
-
-    def format_shard_report(self):
-        """Aligned per-shard dispatch table (sharded runs only)."""
-        from repro.stats.report import format_table
-
-        rows = []
-        for shard, chiplets, events, seconds in self.shards:
-            rows.append(
-                [
-                    "shard%d" % shard,
-                    ",".join(str(c) for c in chiplets),
-                    events,
-                    "%.4f" % seconds,
-                    "%.2f" % (seconds / events * 1e6 if events else 0.0),
-                ]
-            )
-        return format_table(
-            ["shard", "chiplets", "events", "seconds", "us/event"], rows
         )
 
     # -- exporters ----------------------------------------------------------
@@ -257,7 +220,7 @@ class HostProfiler:
                 handle.write("repro;%s;%s %d\n" % (component, event, weight))
 
     def summary(self):
-        out = {
+        return {
             "events": self.total_events,
             "seconds": round(self.total_seconds, 6),
             "buckets": len(self._acc),
@@ -268,14 +231,3 @@ class HostProfiler:
                 )
             },
         }
-        if self.shards:
-            out["shards"] = [
-                {
-                    "shard": shard,
-                    "chiplets": list(chiplets),
-                    "events": events,
-                    "seconds": round(seconds, 6),
-                }
-                for shard, chiplets, events, seconds in self.shards
-            ]
-        return out

@@ -30,7 +30,7 @@ docs/performance.md for the full safety argument):
   event.  Safety: the subtle hazard is not the CU-private L1
   structures but global tie order — eliminating an event shifts the
   sequence numbers that break FIFO ties among same-cycle events
-  machine-wide.  The default guard is therefore *provable*: fuse only
+  machine-wide.  The guard is therefore *provable*: fuse only
   when the event queue holds no foreign event before the fused
   completion time t3, so nothing can execute — hence nothing can push
   — inside the fused window, and the elimination shifts every later
@@ -43,13 +43,7 @@ docs/performance.md for the full safety argument):
   :meth:`repro.mem.cache.Cache.access_if_hit`, which leaves a miss
   completely untouched for the fallback to perform at its classic
   time.  ``scripts/diff_gate.sh`` double-checks the bit-identity claim
-  over the golden matrix.  ``REPRO_SIM_FUSE=aggressive`` additionally
-  fuses on CU-local safety alone (no pending translation, no stepped
-  access in flight) even when foreign events lie inside the window —
-  still deterministic, but same-cycle ties may legally resolve
-  differently, so it is for fast exploration, not golden comparisons;
-  it auto-disables under demand paging and link-level contention,
-  where tie order is outcome-relevant by construction.
+  over the golden matrix.
 
 The classic slot state machine keeps its in-flight state (``index``,
 ``entry``) in ``__slots__`` attributes and hands the engine *pre-bound*
@@ -68,19 +62,6 @@ from repro.mem.cache import LINE_SIZE, Cache
 from repro.vm.tlb import TLB, TLBEntry
 
 
-def _env_positive(name, default, cast):
-    """A positive numeric environment override (falls back on junk)."""
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            value = cast(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
-
-
 #: Initial accesses consumed per fused event in single-slot run fusion.
 #: Correctness does not depend on this bound (every fused segment is
 #: independently stepped-equivalent, whatever its length); it only keeps
@@ -91,10 +72,10 @@ def _env_positive(name, default, cast):
 #: whole windows while CUs in dense phases keep events short.
 _FUSE_RUN_CAP = 64
 
-#: Adaptive-cap bounds.  ``REPRO_SIM_FUSE_MAX`` overrides the ceiling
-#: (values never change simulated results, only event granularity).
+#: Adaptive-cap bounds (they never change simulated results, only
+#: event granularity).
 _FUSE_CAP_MIN = 16
-_FUSE_CAP_MAX = _env_positive("REPRO_SIM_FUSE_MAX", 1024, int)
+_FUSE_CAP_MAX = 1024
 
 #: After a failed provable-window check, skip further checks on that CU
 #: for this many simulated cycles.  A failed check means the queue is
@@ -107,8 +88,7 @@ _FUSE_CAP_MAX = _env_positive("REPRO_SIM_FUSE_MAX", 1024, int)
 #: of simulation history (identical under either queue discipline) and
 #: costs no state write on the skip path.  Host-side only: the value
 #: never changes simulated results, just how often fusion is attempted.
-#: ``REPRO_SIM_FUSE_RETRY`` overrides it (cycles, > 0).
-_FUSE_RETRY_INTERVAL = _env_positive("REPRO_SIM_FUSE_RETRY", 128.0, float)
+_FUSE_RETRY_INTERVAL = 128.0
 
 #: Cache-line shift for the vectorized same-line pre-check (see
 #: :meth:`ComputeUnit.add_cta`).  Two VAs on the same line share their
@@ -141,7 +121,6 @@ class _WavefrontSlot:
         "_issue_cb",
         "_data_access_cb",
         "_complete_cb",
-        "_stepped_data_cb",
     )
 
     def __init__(self, cu):
@@ -156,7 +135,6 @@ class _WavefrontSlot:
         self._issue_cb = self._issue
         self._data_access_cb = self._data_access
         self._complete_cb = self._complete
-        self._stepped_data_cb = self._stepped_data
 
     # -- state machine -----------------------------------------------------
 
@@ -224,21 +202,7 @@ class _WavefrontSlot:
                 # whole run — ``t <= horizon`` is exactly
                 # ``no_event_before(t)`` for every probe below.
                 horizon = cu._fusion_horizon()
-                provable = horizon is None or t3 <= horizon
-                if not (
-                    provable
-                    or (
-                        # Aggressive opt-in: fuse on CU-local safety
-                        # alone (no pending translation response, no
-                        # sibling stepped access in flight).  The L1
-                        # structures still see the exact per-access
-                        # operation sequence, but same-cycle tie order
-                        # elsewhere in the machine may legally shift.
-                        cu._fuse_aggressive
-                        and not cu._pending_translations
-                        and cu._stepped_inflight == 0
-                    )
-                ):
+                if horizon is not None and t3 > horizon:
                     cu._fuse_retry_at = engine.now + _FUSE_RETRY_INTERVAL
                     # Dense window: next provable run, if any, should
                     # start small again.
@@ -258,7 +222,7 @@ class _WavefrontSlot:
                     stats.l1_cache_hits += 1
                     fused = 1
                     cap = cu._fuse_cap
-                    if provable and i + 1 < self.length:
+                    if i + 1 < self.length:
                         # Run fusion: consume subsequent hit/hit
                         # accesses arithmetically for as long as each
                         # one's classic completion still precedes the
@@ -335,10 +299,6 @@ class _WavefrontSlot:
                             cu._fuse_cap = cap << 1
                     self.entry = None
                     cu._fused_accesses += fused
-                    if cu._fuse_hist is not None:
-                        cu._fuse_hist[fused] = (
-                            cu._fuse_hist.get(fused, 0) + 1
-                        )
                     engine.at(t3, self._complete_cb)
                     return
                 else:
@@ -349,22 +309,9 @@ class _WavefrontSlot:
                     # dense window.
                     cu._fuse_retry_at = engine.now + _FUSE_RETRY_INTERVAL
             # Stepped fallback: TLB hit but the access cannot be fused
-            # (dense window, cache miss, or — in aggressive mode — a
-            # pending translation response / sibling stepped access).
-            # Only the aggressive guard ever reads ``_stepped_inflight``
-            # (the provable guard would see the sibling's queued event
-            # instead), so the default mode skips the counting wrapper
-            # and schedules the classic data access directly.
+            # (fusion off, retry cooldown, dense window or cache miss).
             self.entry = entry
-            if cu._fuse_aggressive:
-                # ``_stepped_inflight`` marks the window until
-                # ``_data_access`` performs the cache access at its
-                # classic time, so no sibling fuses across our pending
-                # mutation.
-                cu._stepped_inflight += 1
-                engine.at(t_after_l1, self._stepped_data_cb)
-            else:
-                engine.at(t_after_l1, self._data_access_cb)
+            engine.at(t_after_l1, self._data_access_cb)
             return
 
         cu.stats.l1_tlb_misses += 1
@@ -378,10 +325,6 @@ class _WavefrontSlot:
         cu._pending_translations[vpn] = [self]
         cu._probe_l1_miss(cu, vpn)
         cu.sim.translation.request(cu, vpn, t_after_l1, cu._translated_cb)
-
-    def _stepped_data(self):
-        self.cu._stepped_inflight -= 1
-        self._data_access()
 
     def _data_access(self):
         cu = self.cu
@@ -434,14 +377,11 @@ class ComputeUnit:
         "_gap_f",
         "_pending_translations",
         "_active_slots",
-        "_stepped_inflight",
         "_fuse_enabled",
-        "_fuse_aggressive",
         "_fuse_retry_at",
         "_fuse_cap",
         "_fusion_horizon",
         "_fused_accesses",
-        "_fuse_hist",
         "_translated_cb",
         "_slots",
         "_probe_l1_miss",
@@ -475,43 +415,25 @@ class ComputeUnit:
         self._gap_f = 1.0
         self._pending_translations = {}
         self._active_slots = 0
-        self._stepped_inflight = 0
-        # The default fusion guard is *provable* (it requires the event
-        # queue to hold no foreign event before the fused completion
-        # time, so eliminating events cannot reorder any same-cycle
-        # tie), hence safe for every design.  REPRO_SIM_FUSE=0
-        # force-disables fusion everywhere.
-        fuse_mode = os.environ.get("REPRO_SIM_FUSE", "1").strip().lower()
+        # The fusion guard is *provable* (it requires the event queue to
+        # hold no foreign event before the fused completion time, so
+        # eliminating events cannot reorder any same-cycle tie), hence
+        # safe for every design.  REPRO_SIM_FUSE=0 force-disables
+        # fusion everywhere; unset, empty or 1 leaves it on.
+        fuse_mode = os.environ.get("REPRO_SIM_FUSE", "").strip()
+        if fuse_mode not in ("", "0", "1"):
+            raise ValueError(
+                "REPRO_SIM_FUSE must be '0' or '1' (got %r)" % fuse_mode
+            )
         self._fuse_enabled = fuse_mode != "0"
-        # Aggressive mode additionally fuses on CU-local safety alone,
-        # without the provable-window check.  Still deterministic, but
-        # eliminating an event shifts the sequence numbers that break
-        # ties among same-cycle events machine-wide, so counters may
-        # drift slightly from the stepped schedule (e.g. slice-port
-        # grant order).  It stays off where tie order is
-        # outcome-relevant by construction: demand paging (the first
-        # same-cycle toucher of a page claims its placement) and
-        # link-level contention (Timeline grants are reserved in call
-        # order).  Opt-in for fast design-space exploration; never for
-        # golden comparisons.
-        self._fuse_aggressive = (
-            fuse_mode == "aggressive"
-            and not simulator.launch.design.demand_paging
-            and not params.link_issue_interval
-        )
         self._fuse_retry_at = 0.0
         # Per-CU adaptive fusion cap (see module constants).
         self._fuse_cap = _FUSE_RUN_CAP
-        # Pre-bound machine-wide horizon query (every queue discipline —
-        # heap, calendar, sharded — answers it exactly, so fusion
-        # decisions are engine-mode-independent).
+        # Pre-bound machine-wide horizon query (both queue disciplines
+        # answer it exactly, so fusion decisions are
+        # engine-mode-independent).
         self._fusion_horizon = simulator.engine.events.fusion_horizon
         self._fused_accesses = 0
-        # Optional run-length histogram {run_length: count} of the fused
-        # fast path, populated only when REPRO_SIM_FUSE_HIST is set (the
-        # dict insert is off the hot path otherwise).  Consumed by
-        # benchmarks/bench_engine_hotpath.py --hist.
-        self._fuse_hist = {} if os.environ.get("REPRO_SIM_FUSE_HIST") else None
         self._translated_cb = self._translated
         self._slots = []
 
@@ -543,10 +465,6 @@ class ComputeUnit:
     def start(self):
         """Activate up to ``num_slots`` wavefront slots."""
         self._gap_f = float(self.compute_gap)
-        # Sharded engine: seed events pushed from here (outside any
-        # event context) belong to this CU's chiplet.  No-op on the
-        # single-stream disciplines.
-        self.engine.events.set_push_shard(self.chiplet)
         while self._active_slots < self.num_slots and self.cta_queue:
             self._active_slots += 1
             slot = _WavefrontSlot(self)

@@ -185,17 +185,6 @@ class Simulator:
                 params, "inter_package_latency", None
             ),
         )
-        # Optional per-chiplet engine sharding (REPRO_ENGINE_SHARDS):
-        # must happen after the fabric exists (the conservative lookahead
-        # is its minimum remote path latency) and before any component
-        # pre-binds engine-queue methods or schedules events — the CUs
-        # bind the fusion-window query at construction, and nothing up
-        # to here pushes (BalanceController schedules only from event
-        # context).
-        self.engine_shards = self.engine.configure_shards(
-            params.num_chiplets,
-            lookahead=self.interconnect.min_remote_latency(),
-        )
         self.memory_system = MemorySystem(
             params.num_chiplets,
             link_latency=params.link_latency,
@@ -274,14 +263,6 @@ class Simulator:
             self._live_slots += cu._active_slots
         if profiler is not None:
             self.engine.run_profiled(profiler.record, max_events=max_events)
-            # Sharded engine: hand the per-shard dispatch buckets to the
-            # profiler so the report covers every shard, not just the
-            # bucket-less view a single-stream queue provides.
-            shard_profile = getattr(self.engine.events, "shard_profile", None)
-            if shard_profile is not None and hasattr(
-                profiler, "set_shard_profile"
-            ):
-                profiler.set_shard_profile(shard_profile())
         else:
             self.engine.run(max_events=max_events)
         stats = self.stats

@@ -200,11 +200,6 @@ class L2TLBSlice:
             clone = TLBEntry(
                 entry.vpn, entry.ppn, entry.data_home, entry.coarse_home
             )
-            self.engine.at_on(
-                req.origin, arrive, lambda: origin_slice.tlb.insert(clone)
-            )
+            self.engine.at(arrive, lambda: origin_slice.tlb.insert(clone))
 
-        # The response event belongs to the requesting chiplet's shard.
-        self.engine.at_on(
-            req.origin, arrive, lambda: req.callback(req.vpn, entry)
-        )
+        self.engine.at(arrive, lambda: req.callback(req.vpn, entry))

@@ -111,10 +111,7 @@ class TranslationSystem:
             req, origin, target, t, arrive, interconnect.hop_count(origin, target)
         )
         slice_ = self.slices[target]
-        # ``at_on``: the delivery event belongs to the *target* chiplet
-        # (the sharded engine files it on that chiplet's shard via the
-        # cross-shard mailbox; single-stream engines ignore the hint).
-        self.engine.at_on(target, arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, lambda: slice_.receive(req))
 
     def forward(self, req, src, dst):
         """Move a request between slices (re-route or caching forward)."""
@@ -129,4 +126,4 @@ class TranslationSystem:
             interconnect.hop_count(src, dst),
         )
         slice_ = self.slices[dst]
-        self.engine.at_on(dst, arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, lambda: slice_.receive(req))

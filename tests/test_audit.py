@@ -211,6 +211,18 @@ def test_route_timestamp_regression_is_flagged():
     assert "timestamp-regression" in _kinds(audit)
 
 
+def test_engine_clock_regression_is_flagged():
+    """An out-of-order dispatch moves engine.now backwards between hooks,
+    even when each request's own timestamps stay consistent."""
+    audit = _bare_audit(now=10.0)
+    audit.translation_start(_Req(vpn=0x1000, t0=10.0))
+    audit.translation_start(_Req(vpn=0x2000, t0=10.0))  # same time: fine
+    assert audit.ok
+    audit.engine.now = 4.0
+    audit.translation_start(_Req(vpn=0x3000, t0=4.0))
+    assert _kinds(audit) == {"engine-clock-regression"}
+
+
 def test_unfinished_request_breaks_conservation():
     audit = _bare_audit()
     req = _Req()

@@ -1,11 +1,14 @@
 """End-to-end simulator tests at smoke scale (conservation + invariants)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.params import scaled_params
 from repro.core.config import design
 from repro.driver.kernel_launch import launch_kernel
 from repro.sim.simulator import Simulator, simulate
+from repro.vm.address import MB
+from repro.workloads.base import AllocationSpec, KernelSpec
 from repro.workloads.registry import WORKLOAD_NAMES, build_kernel
 
 
@@ -121,6 +124,58 @@ class TestDeterminism:
         a = simulate(kernel, params, design("mgvm"), seed=1)
         b = simulate(kernel, params, design("mgvm"), seed=2)
         assert a.cycles != b.cycles
+
+
+class TestFusionCap:
+    """The adaptive fusion cap changes event granularity, never results.
+
+    Each fused segment is independently stepped-equivalent, so capping
+    runs early only splits them differently.
+    """
+
+    def test_fusion_cap_does_not_change_results(self, monkeypatch):
+        # A multi-hop paper workload.  Few of its accesses fuse at smoke
+        # scale; the hot-loop test below drives runs into the cap.
+        import repro.sim.cu as cu_mod
+
+        def run():
+            params = scaled_params("smoke", num_chiplets=8, topology="ring")
+            kernel = build_kernel("J2D", scale="smoke")
+            return simulate(kernel, params, design("mgvm"), seed=0)
+
+        baseline = run()
+        monkeypatch.setattr(cu_mod, "_FUSE_CAP_MAX", 16)
+        assert run() == baseline
+
+    def test_capped_runs_split_into_more_events(self, monkeypatch):
+        import repro.sim.cu as cu_mod
+
+        def trace(cta, ctx):
+            # Four lines of one page, revisited: after the first pass
+            # every access of the lone CTA hits the L1 TLB and L1 cache,
+            # so provable fused runs grow until the cap stops them.
+            lines = ctx.base("a") + np.arange(4, dtype=np.int64) * 64
+            return np.tile(lines, 500)
+
+        def run():
+            params = scaled_params("smoke")
+            kernel = KernelSpec(
+                name="hot-loop",
+                lasp_class="NL",
+                allocations=[AllocationSpec("a", 1 * MB)],
+                num_ctas=1,
+                trace=trace,
+            )
+            sim = Simulator(
+                launch_kernel(kernel, params, design("mgvm")), params
+            )
+            return sim.run(), sim.engine.events_executed
+
+        baseline, baseline_events = run()
+        monkeypatch.setattr(cu_mod, "_FUSE_CAP_MAX", 16)
+        stats, events = run()
+        assert stats == baseline
+        assert events > baseline_events
 
 
 class TestTraceCache:

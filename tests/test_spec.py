@@ -208,9 +208,7 @@ class TestRegistry:
     def test_engine_modes_env_shape(self):
         for engine in ENGINE_MODES.values():
             env = engine.env()
-            assert set(env) == {
-                "REPRO_ENGINE_QUEUE", "REPRO_ENGINE_SHARDS", "REPRO_SIM_FUSE",
-            }
+            assert set(env) == {"REPRO_ENGINE_QUEUE", "REPRO_SIM_FUSE"}
 
     def test_as_sweep_promotes_point(self):
         sweep = as_sweep(rich_spec())
@@ -230,6 +228,63 @@ class TestRegistry:
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="chiplets"):
             GeometrySpec(chiplets=1)
+
+
+class TestEngineSpec:
+    """Unknown engine values fail loudly instead of running the default."""
+
+    def test_typo_queue_raises(self):
+        with pytest.raises(ValueError, match="engine.queue"):
+            EngineSpec(queue="hepa")
+
+    def test_aggressive_fuse_raises(self):
+        with pytest.raises(ValueError, match="engine.fuse"):
+            EngineSpec(fuse="aggressive")
+
+    def test_known_values_accepted(self):
+        for queue in (None, "calendar", "heap"):
+            for fuse in (None, "0", "1"):
+                EngineSpec(queue=queue, fuse=fuse)
+
+    def test_from_dict_checks_after_number_conversion(self):
+        assert EngineSpec.from_dict({"fuse": 0}) == EngineSpec(fuse="0")
+        with pytest.raises(ValueError, match="engine.fuse"):
+            EngineSpec.from_dict({"fuse": 2})
+
+    def test_spec_dict_with_shards_raises(self, tmp_path):
+        data = {
+            "workload": "GUPS", "design": "mgvm",
+            "engine": {"shards": "auto"},
+        }
+        with pytest.raises(TypeError, match="shards"):
+            spec_from_dict(data)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="shards"):
+            load_spec(str(path))
+
+    def test_unknown_queue_env_raises(self, monkeypatch):
+        from repro.engine.event_queue import CalendarEventQueue, EventQueue
+
+        monkeypatch.setenv("REPRO_ENGINE_QUEUE", "junk")
+        with pytest.raises(ValueError, match="REPRO_ENGINE_QUEUE"):
+            EventQueue()
+        for value in ("", "calendar"):
+            monkeypatch.setenv("REPRO_ENGINE_QUEUE", value)
+            assert isinstance(EventQueue(), CalendarEventQueue)
+
+    def test_unknown_fuse_env_raises(self, monkeypatch):
+        from repro.arch.params import scaled_params
+        from repro.core.config import design
+        from repro.sim.simulator import simulate
+        from repro.workloads.registry import build_kernel
+
+        monkeypatch.setenv("REPRO_SIM_FUSE", "aggressive")
+        with pytest.raises(ValueError, match="REPRO_SIM_FUSE"):
+            simulate(
+                build_kernel("GUPS", scale="smoke"), scaled_params("smoke"),
+                design("mgvm"),
+            )
 
 
 SWEEP_FLAGS = [
